@@ -204,14 +204,12 @@ fn yao_cost(config: &PretzelConfig, kind: YaoKind) -> (std::time::Duration, u64)
     let group = config.ot_group(&[7u8; 32]);
     let group_b = group.clone();
     let width = 32;
-    let (circuit, garbler_vals, evaluator_vals, divisor) = match kind {
-        YaoKind::Compare => (spam_compare_circuit(width), 2usize, 2usize, 1u64),
+    let (circuit, divisor) = match kind {
+        YaoKind::Compare => (spam_compare_circuit(width), 1u64),
         YaoKind::ArgmaxPerInput => {
             let candidates = 10;
             (
                 topic_argmax_circuit(candidates, width, 12),
-                2 * candidates,
-                candidates,
                 candidates as u64,
             )
         }
@@ -223,8 +221,14 @@ fn yao_cost(config: &PretzelConfig, kind: YaoKind) -> (std::time::Duration, u64)
     let mut metered = MeteredChannel::new(a);
     let meter = metered.meter();
 
-    let garbler_bits: Vec<bool> = (0..garbler_vals * width).map(|i| i % 3 == 0).collect();
-    let evaluator_bits: Vec<bool> = (0..evaluator_vals * width).map(|i| i % 5 == 0).collect();
+    // Input widths come from the circuit itself, so they cannot drift from
+    // its layout (the argmax garbler supplies index and value bits).
+    let garbler_bits: Vec<bool> = (0..circuit.garbler_inputs.len())
+        .map(|i| i % 3 == 0)
+        .collect();
+    let evaluator_bits: Vec<bool> = (0..circuit.evaluator_inputs.len())
+        .map(|i| i % 5 == 0)
+        .collect();
 
     let handle = std::thread::spawn(move || {
         let mut rng = rand::thread_rng();

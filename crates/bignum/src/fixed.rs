@@ -598,19 +598,27 @@ macro_rules! auto_montgomery {
 // The width family. Paillier keys of 128·2^k bits produce n² at 4·2^k limbs
 // and p²/q² at 2·2^k limbs; 192/384/768-bit keys hit the ×3 widths; 24 limbs
 // is the RFC 3526 1536-bit DH/OT group. Unlisted widths (e.g. a 320-bit
-// modulus at 5 limbs) take the dynamic fallback.
-auto_montgomery!(
-    (W2, 2),
-    (W3, 3),
-    (W4, 4),
-    (W6, 6),
-    (W8, 8),
-    (W12, 12),
-    (W16, 16),
-    (W24, 24),
-    (W32, 32),
-    (W64, 64),
-);
+// modulus at 5 limbs) take the dynamic fallback. Every type that dispatches
+// per width (this one and [`crate::FixedBase`]) expands from this one list.
+macro_rules! with_widths {
+    ($m:ident) => {
+        $m!(
+            (W2, 2),
+            (W3, 3),
+            (W4, 4),
+            (W6, 6),
+            (W8, 8),
+            (W12, 12),
+            (W16, 16),
+            (W24, 24),
+            (W32, 32),
+            (W64, 64),
+        );
+    };
+}
+pub(crate) use with_widths;
+
+with_widths!(auto_montgomery);
 
 #[cfg(test)]
 mod tests {

@@ -15,13 +15,19 @@
 //! proptests; the paper's Baseline cryptosystem (Paillier) is intentionally
 //! the slow comparator in every experiment, so keeping both preserves the
 //! measured shape of Figure 6.
+//!
+//! [`FixedBase`] adds table-driven exponentiation of one base to many
+//! exponents on either engine — the base-OT generator and a peer's public
+//! value are raised this way.
 
 pub mod fixed;
+mod fixed_base;
 mod modular;
 mod prime;
 mod uint;
 
 pub use fixed::{AutoMontgomery, FixedUint, MontgomeryCtx};
+pub use fixed_base::FixedBase;
 pub use modular::{crt_combine, mod_add, mod_inv, mod_mul, mod_pow, mod_sub, Montgomery};
 pub use prime::{gen_prime, gen_safe_prime, is_probable_prime};
 pub use uint::BigUint;

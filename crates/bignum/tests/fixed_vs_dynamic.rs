@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 
-use pretzel_bignum::{AutoMontgomery, BigUint, FixedUint, Montgomery, MontgomeryCtx};
+use pretzel_bignum::{AutoMontgomery, BigUint, FixedBase, FixedUint, Montgomery, MontgomeryCtx};
 
 /// A random odd modulus with exactly `limbs` significant limbs (top limb
 /// forced non-zero so the width is exact).
@@ -24,6 +24,28 @@ fn arb_modulus(limbs: usize) -> impl Strategy<Value = BigUint> {
 /// A random value reduced below `n`.
 fn below(n: &BigUint, raw: &[u64]) -> BigUint {
     BigUint::from_limbs(raw.to_vec()) % n
+}
+
+/// `FixedBase` against `AutoMontgomery::pow` at the edge-case exponents: 0,
+/// 1, all-ones at the table width, and two exponents wider than the table.
+fn fixed_base_edge_cases(auto: &AutoMontgomery, base: &BigUint) {
+    let table = FixedBase::new(auto, base);
+    assert_eq!(table.windows(), auto.modulus().bits().div_ceil(4));
+    let wide = BigUint::one() << (4 * table.windows());
+    for exp in [
+        BigUint::zero(),
+        BigUint::one(),
+        wide.clone() - BigUint::one(),
+        wide.clone(),
+        wide + BigUint::from(0x1357u64),
+    ] {
+        assert_eq!(
+            table.pow(&exp),
+            auto.pow(base, &exp),
+            "fixed-base mismatch on {} at exponent {exp:?}",
+            auto.backend()
+        );
+    }
 }
 
 macro_rules! equivalence_suite {
@@ -117,6 +139,40 @@ macro_rules! equivalence_suite {
                 }
             }
 
+            proptest! {
+                // Each case builds a table and runs two full-width
+                // exponentiations; fewer cases at the widest moduli keep
+                // the debug-mode suite short.
+                #![proptest_config(ProptestConfig::with_cases(if N > 16 { 6 } else { 16 }))]
+
+                #[test]
+                fn fixed_base_matches_pow(
+                    n in arb_modulus(N),
+                    base_raw in proptest::collection::vec(any::<u64>(), N),
+                    exp_raw in proptest::collection::vec(any::<u64>(), 0..=N),
+                ) {
+                    let auto = AutoMontgomery::new(&n);
+                    prop_assert_eq!(auto.backend(), concat!("fixed:", stringify!($n)));
+                    let base = below(&n, &base_raw);
+                    let exp = BigUint::from_limbs(exp_raw);
+                    prop_assert_eq!(
+                        FixedBase::new(&auto, &base).pow(&exp),
+                        auto.pow(&base, &exp)
+                    );
+                }
+            }
+
+            #[test]
+            fn fixed_base_edge_cases_match_pow() {
+                let mut limbs = vec![0x2545f4914f6cdd1du64; N];
+                limbs[0] |= 1;
+                limbs[N - 1] |= 1 << 63;
+                let n = BigUint::from_limbs(limbs);
+                let auto = AutoMontgomery::new(&n);
+                assert_eq!(auto.backend(), concat!("fixed:", stringify!($n)));
+                fixed_base_edge_cases(&auto, &(n.clone() - BigUint::from(2u64)));
+            }
+
             /// Deterministic edge cases: 0, 1, n-1, and the R-boundary
             /// values (R mod n is the Montgomery form of 1; R-1 exercises
             /// the top of the operand range after reduction).
@@ -197,6 +253,32 @@ fn unsupported_width_falls_back_dynamic() {
     let base = BigUint::from(0xdeadbeefu64);
     let exp = BigUint::from(65537u64);
     assert_eq!(auto.pow(&base, &exp), dynamic.pow(&base, &exp));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The dynamic fallback runs the same fixed-base algorithm.
+    #[test]
+    fn fixed_base_matches_pow_dynamic(
+        n in arb_modulus(5),
+        base_raw in proptest::collection::vec(any::<u64>(), 5),
+        exp_raw in proptest::collection::vec(any::<u64>(), 0..=5),
+    ) {
+        let auto = AutoMontgomery::new(&n);
+        prop_assert_eq!(auto.backend(), "dynamic");
+        let base = below(&n, &base_raw);
+        let exp = BigUint::from_limbs(exp_raw);
+        prop_assert_eq!(FixedBase::new(&auto, &base).pow(&exp), auto.pow(&base, &exp));
+    }
+}
+
+#[test]
+fn fixed_base_edge_cases_match_pow_dynamic() {
+    let n = (BigUint::one() << 300) + BigUint::from(0x2468_ace1u64);
+    let auto = AutoMontgomery::new(&n);
+    assert_eq!(auto.backend(), "dynamic");
+    fixed_base_edge_cases(&auto, &BigUint::from(0xdead_beefu64));
 }
 
 /// `AutoMontgomery::pow` must reduce oversized bases exactly like the

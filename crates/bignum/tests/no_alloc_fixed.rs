@@ -1,28 +1,42 @@
 //! Verifies the fixed-limb hot path's headline property: zero heap
 //! allocation inside `mont_mul`, and only the final result allocation in
-//! the `BigUint`-facing `pow`.
+//! the `BigUint`-facing `pow` and in a fixed-base evaluation.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; this lives
 //! in its own integration-test binary so the counter doesn't interfere with
-//! other suites. The dynamic path is measured alongside as a sanity check
-//! that the counter actually observes Montgomery work.
+//! other suites. The counter is per thread, so tests running in parallel
+//! (the default runner) never see each other's allocations: each test
+//! counts exactly the allocations of the thread that runs it. The dynamic
+//! path is measured alongside as a sanity check that the counter actually
+//! observes Montgomery work.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
-use pretzel_bignum::{BigUint, FixedUint, Montgomery, MontgomeryCtx};
+use pretzel_bignum::{AutoMontgomery, BigUint, FixedBase, FixedUint, Montgomery, MontgomeryCtx};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by the current thread. A `const`-initialised `Cell`
+    /// needs no allocation or destructor of its own, so the allocator can
+    /// touch it.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // `try_with`: the slot is gone while a thread is torn down, and the
+        // runtime may still allocate then.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: forwards this call's own contract (non-zero-size layout)
+        // unchanged to the system allocator.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: every pointer this allocator hands out comes from
+        // `System.alloc` with the same layout.
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -30,11 +44,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Runs `f` and returns how many heap allocations it performed.
+/// Runs `f` and returns how many heap allocations it performed on this
+/// thread.
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let result = f();
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = ALLOCATIONS.with(Cell::get);
     (after - before, result)
 }
 
@@ -91,6 +106,25 @@ fn fixed_pow_inner_loop_does_not_allocate() {
     assert!(
         allocs <= 2,
         "BigUint-facing pow should allocate only the result, saw {allocs}"
+    );
+}
+
+/// A fixed-base evaluation on a fixed-width context runs its bucket fold on
+/// the stack: the returned `BigUint` is its only allocation.
+#[test]
+fn fixed_base_pow_allocates_only_the_result() {
+    let n = test_modulus();
+    let auto = AutoMontgomery::new(&n);
+    assert_eq!(auto.backend(), "fixed:8");
+    let table = FixedBase::new(&auto, &(BigUint::one() << 300));
+    let exp = n.clone() - BigUint::one();
+
+    let _ = table.pow(&exp);
+    let (allocs, result) = count_allocs(|| table.pow(&exp));
+    assert!(!result.is_zero());
+    assert_eq!(
+        allocs, 1,
+        "fixed-base pow should allocate only the result, saw {allocs}"
     );
 }
 

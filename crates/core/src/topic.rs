@@ -1132,4 +1132,33 @@ mod tests {
             "B'=B always contains the reference topic"
         );
     }
+
+    /// The base-OT producer must box the artifact itself: `draw_base_ot`
+    /// downcasts to `OtSenderPrecomp`, so any other box would make every
+    /// banked base OT unusable and count its draw as a fallback.
+    #[test]
+    fn banked_base_ot_artifacts_are_drawable() {
+        assert!(base_ot_fleet_plan(&PretzelConfig::test()).is_empty());
+        let config = PretzelConfig::paper();
+        let mut specs = base_ot_fleet_plan(&config);
+        assert_eq!(specs.len(), 1);
+        let spec = specs.pop().unwrap();
+        let group = OtGroup::rfc3526_1536();
+        assert_eq!(spec.id, ReservoirId::base_ots(group.fingerprint()));
+
+        let artifact = (spec.producer)(&mut rand::thread_rng());
+        let pre = artifact
+            .downcast::<OtSenderPrecomp>()
+            .expect("the producer boxes an OtSenderPrecomp");
+        assert!(pre.matches(&group));
+
+        // Through a bank: a stocked draw is served, not a fallback.
+        let bank = bank::PrecomputeBank::start(bank::BankConfig::default().default_target(1));
+        bank.register(spec.with_target(1));
+        assert!(bank.wait_until_full(std::time::Duration::from_secs(60)));
+        assert!(draw_base_ot(&bank.handle(), &config).is_some());
+        let report = bank.shutdown();
+        assert_eq!(report.drawn_total(), 1);
+        assert_eq!(report.fallbacks_by_kind(bank::KIND_BASE_OTS), 0);
+    }
 }

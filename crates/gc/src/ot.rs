@@ -14,10 +14,20 @@
 //! extension in [`crate::otext`] turns 128 of them into any number of fast
 //! per-email OTs), which is exactly how the paper amortizes the expensive
 //! public-key machinery into setup (§3.3).
+//!
+//! Two of the three bases are fixed: `g` for the group's lifetime, and the
+//! sender's `A` for the whole batch. Their exponentiations run through
+//! [`FixedBase`] tables (the group's generator table is shared, the `A`
+//! table is built once per [`base_ot_receive`]); only the sender's `B^a`,
+//! whose base changes with every OT, stays a windowed `pow`. The tables
+//! change how values are computed, never which values: draws, messages and
+//! transcripts are those of plain `pow`.
+
+use std::sync::{Arc, OnceLock};
 
 use rand::Rng;
 
-use pretzel_bignum::{gen_safe_prime, mod_inv, AutoMontgomery, BigUint};
+use pretzel_bignum::{gen_safe_prime, mod_mul, AutoMontgomery, BigUint, FixedBase};
 use pretzel_primitives::{sha256, xor_in_place};
 use pretzel_transport::Channel;
 
@@ -33,15 +43,26 @@ pub struct OtGroup {
     p: BigUint,
     /// Subgroup order q = (p - 1) / 2.
     q: BigUint,
-    /// Generator of the order-q subgroup.
-    g: BigUint,
     mont: AutoMontgomery,
+    /// Fixed-base table for the generator `g = 4` of the order-q subgroup,
+    /// shared by every clone of the group.
+    g_table: Arc<FixedBase>,
+    /// See [`OtGroup::fingerprint`]; hashed once at construction.
+    fingerprint: u64,
 }
 
 impl OtGroup {
     /// The 1536-bit MODP group from RFC 3526 (§2); `g = 4` generates the
     /// prime-order subgroup of a safe prime.
+    ///
+    /// The group is built once per process; each call returns a clone that
+    /// shares its generator table.
     pub fn rfc3526_1536() -> Self {
+        static GROUP: OnceLock<OtGroup> = OnceLock::new();
+        GROUP.get_or_init(Self::parse_rfc3526_1536).clone()
+    }
+
+    fn parse_rfc3526_1536() -> Self {
         let p_hex = concat!(
             "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1",
             "29024E088A67CC74020BBEA63B139B22514A08798E3404DD",
@@ -60,12 +81,16 @@ impl OtGroup {
     pub fn from_safe_prime(p: BigUint) -> Self {
         let q = (p.clone() - BigUint::one()) >> 1;
         let mont = AutoMontgomery::new(&p);
-        OtGroup {
+        let g_table = Arc::new(FixedBase::new(&mont, &BigUint::from(4u64)));
+        let mut group = OtGroup {
             p,
             q,
-            g: BigUint::from(4u64),
             mont,
-        }
+            g_table,
+            fingerprint: 0,
+        };
+        group.fingerprint = fnv1a(&group.encode(&group.p));
+        group
     }
 
     /// Generates a small group for unit tests (NOT secure — documented as
@@ -97,16 +122,16 @@ impl OtGroup {
     /// artifacts under, so artifacts generated for one group can never be
     /// spent in another.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in &self.encode(&self.p) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        self.fingerprint
     }
 
     fn pow_g(&self, exp: &BigUint) -> BigUint {
-        self.mont.pow(&self.g, exp)
+        self.g_table.pow(exp)
+    }
+
+    /// A fixed-base table for raising `base` to many exponents in this group.
+    fn fixed_base(&self, base: &BigUint) -> FixedBase {
+        FixedBase::new(&self.mont, base)
     }
 
     fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
@@ -143,6 +168,15 @@ impl OtGroup {
     }
 }
 
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 fn key_from_element(group: &OtGroup, shared: &BigUint, index: u64) -> [u8; 32] {
     let mut data = Vec::with_capacity(group.element_bytes() + 8);
     data.extend_from_slice(&group.encode(shared));
@@ -155,8 +189,7 @@ fn key_from_element(group: &OtGroup, shared: &BigUint, index: u64) -> [u8; 32] {
 /// `A^{-a}` used to derive `k_1`. All three are independent of the
 /// receiver's messages, so they can be manufactured ahead of time by a
 /// background producer (a fleet-wide precompute bank) and spent at session
-/// setup — removing the expensive fixed-base and inverse exponentiations
-/// from the serving path.
+/// setup — removing both generator exponentiations from the serving path.
 ///
 /// Consume-once: each value must feed exactly one [`base_ot_send_precomputed`]
 /// execution (the API takes it by value).
@@ -169,18 +202,20 @@ pub struct OtSenderPrecomp {
 
 impl OtSenderPrecomp {
     /// Runs the offline part of [`base_ot_send`] for `group`.
-    pub fn generate<R: Rng + ?Sized>(group: &OtGroup, rng: &mut R) -> Result<Self, GcError> {
+    pub fn generate<R: Rng + ?Sized>(group: &OtGroup, rng: &mut R) -> Self {
         let a = group.random_exponent(rng);
         let big_a = group.pow_g(&a);
-        // A^{-a} is used to compute (B / A)^a as B^a * A^{-a}.
-        let a_inv = mod_inv(&big_a, &group.p).map_err(|_| GcError::Protocol("bad group".into()))?;
-        let a_inv_pow_a = group.pow(&a_inv, &a);
-        Ok(OtSenderPrecomp {
+        // A^{-a} is used to compute (B / A)^a as B^a * A^{-a}. Since g has
+        // order q, A^{-a} = g^{-a²} = g^{q - (a² mod q)}: one more
+        // generator-table evaluation, no inverse and no variable-base pow.
+        let neg_a_sq = group.q.clone() - mod_mul(&a, &a, &group.q);
+        let a_inv_pow_a = group.pow_g(&neg_a_sq);
+        OtSenderPrecomp {
             a,
             big_a,
             a_inv_pow_a,
             group_fingerprint: group.fingerprint(),
-        })
+        }
     }
 
     /// True when this artifact was generated for exactly `group` — spending
@@ -199,7 +234,7 @@ pub fn base_ot_send<C: Channel>(
     messages: &[([u8; OT_MSG_LEN], [u8; OT_MSG_LEN])],
     rng: &mut (impl Rng + ?Sized),
 ) -> Result<(), GcError> {
-    let pre = OtSenderPrecomp::generate(group, rng)?;
+    let pre = OtSenderPrecomp::generate(group, rng);
     base_ot_send_precomputed(channel, group, pre, messages)
 }
 
@@ -252,6 +287,7 @@ pub fn base_ot_receive<C: Channel>(
 ) -> Result<Vec<[u8; OT_MSG_LEN]>, GcError> {
     let a_bytes = channel.recv()?;
     let big_a = group.decode(&a_bytes)?;
+    let a_table = group.fixed_base(&big_a);
 
     let mut keys = Vec::with_capacity(choices.len());
     for (i, &c) in choices.iter().enumerate() {
@@ -259,7 +295,7 @@ pub fn base_ot_receive<C: Channel>(
         let g_b = group.pow_g(&b);
         let big_b = if c { group.mul(&big_a, &g_b) } else { g_b };
         channel.send(&group.encode(&big_b))?;
-        let shared = group.pow(&big_a, &b);
+        let shared = a_table.pow(&b);
         keys.push(key_from_element(group, &shared, i as u64));
     }
 
@@ -334,7 +370,7 @@ mod tests {
         let choices: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
 
         // Offline half on a "producer thread" RNG, online half with no RNG.
-        let pre = OtSenderPrecomp::generate(&group, &mut rng).unwrap();
+        let pre = OtSenderPrecomp::generate(&group, &mut rng);
         assert!(pre.matches(&group));
         let msgs_for_sender = messages.clone();
         let choices_for_recv = choices.clone();
@@ -359,7 +395,7 @@ mod tests {
         let group = test_group();
         let other = test_group();
         assert_ne!(group.fingerprint(), other.fingerprint());
-        let pre = OtSenderPrecomp::generate(&other, &mut rand::thread_rng()).unwrap();
+        let pre = OtSenderPrecomp::generate(&other, &mut rand::thread_rng());
         assert!(!pre.matches(&group));
         let mut chan = pretzel_transport::memory_pair().0;
         let err = base_ot_send_precomputed(&mut chan, &group, pre, &[]);
@@ -384,5 +420,75 @@ mod tests {
         let group = OtGroup::rfc3526_1536();
         assert_eq!(group.p.bits(), 1536);
         assert_eq!(group.element_bytes(), 192);
+    }
+
+    /// Records every frame a party sends, so a test can hash the transcript.
+    struct Recording<'a, C> {
+        inner: &'a mut C,
+        sent: Vec<Vec<u8>>,
+    }
+
+    impl<C: Channel> Channel for Recording<'_, C> {
+        fn send(&mut self, msg: &[u8]) -> pretzel_transport::Result<()> {
+            self.sent.push(msg.to_vec());
+            self.inner.send(msg)
+        }
+        fn recv(&mut self) -> pretzel_transport::Result<Vec<u8>> {
+            self.inner.recv()
+        }
+    }
+
+    /// Pins the wire bytes of 8 seeded base OTs in the RFC 3526 group: every
+    /// frame both parties send, in order, plus the receiver's outputs. The
+    /// digest was computed with the plain windowed `pow` on both sides, so
+    /// any change to the exponentiation path must leave it unmoved.
+    #[test]
+    fn seeded_rfc3526_transcript_is_pinned() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let mut setup = StdRng::seed_from_u64(0x07);
+        let messages: Vec<([u8; 32], [u8; 32])> =
+            (0..8).map(|_| (setup.gen(), setup.gen())).collect();
+        let choices: Vec<bool> = (0..8).map(|_| setup.gen()).collect();
+        let group = OtGroup::rfc3526_1536();
+        let group_b = group.clone();
+
+        let (sent_by_sender, (sent_by_receiver, received)) = run_two_party(
+            move |chan| {
+                let mut rec = Recording {
+                    inner: chan,
+                    sent: Vec::new(),
+                };
+                let mut rng = StdRng::seed_from_u64(0x5e);
+                base_ot_send(&mut rec, &group, &messages, &mut rng).unwrap();
+                rec.sent
+            },
+            move |chan| {
+                let mut rec = Recording {
+                    inner: chan,
+                    sent: Vec::new(),
+                };
+                let mut rng = StdRng::seed_from_u64(0x2e);
+                let out = base_ot_receive(&mut rec, &group_b, &choices, &mut rng).unwrap();
+                (rec.sent, out)
+            },
+        );
+        let mut transcript = Vec::new();
+        for frame in sent_by_sender.iter().chain(&sent_by_receiver) {
+            transcript.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+            transcript.extend_from_slice(frame);
+        }
+        for m in &received {
+            transcript.extend_from_slice(m);
+        }
+        let digest: String = sha256(&transcript)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            digest,
+            "4c967359d4b14389b42222ac2da677dcd70c3ab9b5e966d2e27c9889a4a123ad"
+        );
     }
 }
